@@ -17,8 +17,8 @@ import sys
 import numpy as np
 
 from . import evaluation, maneuvers, model as M, nnkernel as nk, synth, trackstore
-from .errors import (ConfigError, FrameRangeError, IntegrityError,
-                     NumericError, SchemaError, UsageError)
+from .errors import (ConfigError, DimensionError, FrameRangeError,
+                     IntegrityError, NumericError, SchemaError, UsageError)
 from .model import Model, ModelConfig, Variant
 
 log = logging.getLogger("trajpred")
@@ -74,8 +74,11 @@ def resolve(args, defaults: dict) -> dict:
 
 def _read_samples(path):
     if str(path).endswith(".jsonl"):
-        return trackstore.read_samples_jsonl(path)
-    return trackstore.read_samples_binary(path)
+        samples = trackstore.read_samples_jsonl(path)
+    else:
+        samples = trackstore.read_samples_binary(path)
+    log.debug("read %d samples from %s", len(samples), path)
+    return samples
 
 
 def _write_samples(path, samples, fmt):
@@ -312,11 +315,16 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser():
     p = _Parser(prog="trajpred", description=__doc__)
-    p.add_argument("-v", "--verbose", action="store_true")
+    p.add_argument("-v", "--verbose", action="store_true",
+                   help="log at DEBUG level (default INFO)")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add(name, fn, flags):
         sp = sub.add_parser(name)
+        # also accepted after the subcommand; SUPPRESS keeps the value
+        # set before it when the flag is absent here
+        sp.add_argument("-v", "--verbose", action="store_true",
+                        default=argparse.SUPPRESS)
         sp.add_argument("--config")
         for flag, typ in flags:
             sp.add_argument("--" + flag.replace("_", "-"), dest=flag, type=typ)
@@ -351,17 +359,17 @@ def build_parser():
 
 
 def main(argv=None):
-    logging.basicConfig(level=logging.INFO,
-                        format="%(levelname)s %(name)s: %(message)s")
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     try:
         args = build_parser().parse_args(argv)
+        log.setLevel(logging.DEBUG if args.verbose else logging.INFO)
         args.fn(args)
         return 0
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
     except (SchemaError, IntegrityError, FrameRangeError, ConfigError,
-            FileNotFoundError) as e:
+            DimensionError, FileNotFoundError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
     except NumericError as e:

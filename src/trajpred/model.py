@@ -11,6 +11,11 @@ two softmax heads for the maneuver probabilities; lateral and
 longitudinal classes are treated as conditionally independent, so joint
 probabilities are products.
 
+Each LSTM runs as one fused `nnkernel.lstm_seq` op, fed by an input
+projection computed once for all steps (for all frames in the encoders,
+once for the constant decoder input), and the loss is one
+`nnkernel.gaussian_nll` op over all future steps.
+
 Variants: V_LSTM uses only the predicted vehicle's 2 channels and no
 maneuver input; S_LSTM uses all 14 channels, no maneuver input; M_LSTM
 adds the classifier and conditioning; M_LSTM_GT is M_LSTM evaluated with
@@ -20,14 +25,13 @@ ground-truth maneuvers.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from . import nnkernel as nk
-from .errors import DimensionError
+from .errors import DimensionError, SchemaError
 from .maneuvers import Lateral, Longitudinal, ManeuverLabel
 from .nnkernel import ParamSet, Tape, Tensor
 
@@ -220,7 +224,11 @@ class Model:
     def load(cls, path) -> "Model":
         merged, hyper = nk.load_checkpoint(path)
         norm_d = hyper.pop("norm", None)
-        cfg = ModelConfig.from_dict(hyper)
+        try:
+            cfg = ModelConfig.from_dict(hyper)
+        except (KeyError, TypeError, ValueError) as e:
+            raise SchemaError(f"{path}: not a model checkpoint "
+                              f"({type(e).__name__} in header: {e})") from e
         traj, clsw = ParamSet(), ParamSet()
         for name, t in merged.params.items():
             group, _, rest = name.partition("/")
@@ -230,17 +238,23 @@ class Model:
                    norm=Normalizer.from_dict(norm_d) if norm_d else None)
 
 
+def _zero_state(rows, hidden):
+    return Tensor(np.zeros((rows, hidden)), requires_grad=False)
+
+
 def _run_lstm(frames, embed_W, embed_b, Wx, Wh, b, hidden, tape):
-    """frames: (B, T, C) array -> final hidden state Tensor (B, hidden)."""
-    B, T, _ = frames.shape
-    h = Tensor(np.zeros((B, hidden)))
-    c = Tensor(np.zeros((B, hidden)))
-    for k in range(T):
-        x = nk.leaky_relu(
-            nk.linear_fwd(embed_W, embed_b, Tensor(frames[:, k, :]), tape),
-            0.1, tape)
-        h, c = nk.lstm_cell(x, h, c, Wx, Wh, b, tape)
-    return h
+    """frames: (B, T, C) array -> final hidden state Tensor (B, hidden).
+
+    The embedding and the input projection run once over all T*B frame
+    rows, stacked step-major as `lstm_seq` expects.
+    """
+    B, T, C = frames.shape
+    x = Tensor(frames.transpose(1, 0, 2).reshape(T * B, C), requires_grad=False)
+    emb = nk.leaky_relu(nk.linear_fwd(embed_W, embed_b, x, tape), 0.1, tape)
+    state = _zero_state(B, hidden)
+    hs, _ = nk.lstm_seq(nk.linear_fwd(Wx, b, emb, tape), state, state, Wh, T,
+                        tape)
+    return nk.slice_rows(hs, (T - 1) * B, T * B, tape)
 
 
 def encode(history, weights: ParamSet, cfg: ModelConfig, tape=None) -> Tensor:
@@ -274,28 +288,27 @@ def _check_onehots(onehots):
 
 
 def decode_raw(context: Tensor, onehots, weights: ParamSet, cfg: ModelConfig,
-               tape=None):
-    """Raw 5-value head outputs for t_f steps; list of (B, 5) Tensors.
+               tape=None) -> Tensor:
+    """Raw 5-value head outputs for t_f steps as one (t_f * B, 5) Tensor.
 
-    The decoder input (context, plus maneuver one-hots when conditioned)
-    is the same at every step; only the LSTM state evolves.
+    Rows are step-major: row k*B + j is future step k of batch row j. The
+    decoder input (context, plus maneuver one-hots when conditioned) is
+    the same at every step, so its projection `dec_in @ dec_Wx + dec_b`
+    is computed once and only the LSTM state evolves; the head then maps
+    all t_f * B decoder states in one matmul.
     """
     if cfg.conditioned:
         oh = np.atleast_2d(np.asarray(onehots, dtype=np.float64))
         if oh.shape != (context.rows, N_LATERAL + N_LONGITUDINAL):
             raise DimensionError(f"decode: one-hot block has shape {oh.shape}")
         _check_onehots(oh)
-        dec_in = nk.concat_cols([context, Tensor(oh)], tape)
+        dec_in = nk.concat_cols([context, Tensor(oh, requires_grad=False)], tape)
     else:
         dec_in = context
-    h = Tensor(np.zeros((context.rows, cfg.hidden)))
-    c = Tensor(np.zeros((context.rows, cfg.hidden)))
-    raws = []
-    for _ in range(cfg.t_f):
-        h, c = nk.lstm_cell(dec_in, h, c, weights["dec_Wx"],
-                            weights["dec_Wh"], weights["dec_b"], tape)
-        raws.append(nk.linear_fwd(weights["head_W"], weights["head_b"], h, tape))
-    return raws
+    xw = nk.linear_fwd(weights["dec_Wx"], weights["dec_b"], dec_in, tape)
+    state = _zero_state(context.rows, cfg.hidden)
+    hs, _ = nk.lstm_seq(xw, state, state, weights["dec_Wh"], cfg.t_f, tape)
+    return nk.linear_fwd(weights["head_W"], weights["head_b"], hs, tape)
 
 
 def raw_to_gaussian(raw_row) -> GaussianStep:
@@ -308,14 +321,14 @@ def raw_to_gaussian(raw_row) -> GaussianStep:
 def decode(context: Tensor, onehots, weights: ParamSet, cfg: ModelConfig):
     """Inference-mode decode for a single sample -> list of GaussianStep."""
     raws = decode_raw(context, onehots, weights, cfg, tape=None)
-    return [raw_to_gaussian(r.data[0]) for r in raws]
+    return [raw_to_gaussian(r) for r in raws.data[::context.rows]]
 
 
 def decode_means(context: Tensor, onehots, weights: ParamSet,
                  cfg: ModelConfig) -> np.ndarray:
     """Batch point predictions: (B, t_f, 2) means, inference mode."""
     raws = decode_raw(context, onehots, weights, cfg, tape=None)
-    return np.stack([r.data[:, 0:2] for r in raws], axis=1)
+    return raws.data[:, 0:2].reshape(cfg.t_f, context.rows, 2).transpose(1, 0, 2)
 
 
 def classify_logits(history, weights: ParamSet, cfg: ModelConfig, tape=None):
@@ -377,8 +390,6 @@ def predict_unimodal(history, model: Model, label: ManeuverLabel | None = None):
     return ManeuverDistribution(modes=[mode])
 
 
-LOG_2PI = math.log(2.0 * math.pi)
-
 # tanh saturates to exactly 1.0 in float64 for |raw| >~ 19; this scale
 # keeps |rho| < 1 (and 1 - rho^2 > 0) for any raw head output
 RHO_MAX = 1.0 - 1e-9
@@ -387,39 +398,20 @@ RHO_MAX = 1.0 - 1e-9
 def nll_loss(raws, truth, tape=None) -> Tensor:
     """Mean bivariate-Gaussian negative log likelihood.
 
-    `raws` is the list of t_f (B, 5) raw head Tensors, `truth` an array
-    (B, t_f, 2). The head mapping sigma = exp, rho = tanh keeps the
-    density parameters valid for any raw values. Mean over steps and
-    batch.
+    `raws` is the (t_f * B, 5) step-major Tensor from `decode_raw`,
+    `truth` an array (B, t_f, 2). The head mapping sigma = exp, rho =
+    RHO_MAX * tanh keeps the density parameters valid for any raw
+    values. Mean over steps and batch.
     """
     truth = np.asarray(truth, dtype=np.float64)
     if truth.ndim == 2:
         truth = truth[None]
-    if truth.shape[1] != len(raws):
+    B, t_f, _ = truth.shape
+    if raws.rows != t_f * B:
         raise DimensionError(
-            f"nll_loss: {len(raws)} steps vs truth {truth.shape}")
-    total = None
-    for k, raw in enumerate(raws):
-        mux = nk.slice_cols(raw, 0, 1, tape)
-        muy = nk.slice_cols(raw, 1, 2, tape)
-        lsx = nk.slice_cols(raw, 2, 3, tape)
-        lsy = nk.slice_cols(raw, 3, 4, tape)
-        rho = nk.affine_const(nk.tanh(nk.slice_cols(raw, 4, 5, tape), tape),
-                              RHO_MAX, 0.0, tape)
-        dx = nk.sub(mux, Tensor(truth[:, k, 0:1]), tape)
-        dy = nk.sub(muy, Tensor(truth[:, k, 1:2]), tape)
-        nx = nk.div(dx, nk.exp(lsx, tape), tape)
-        ny = nk.div(dy, nk.exp(lsy, tape), tape)
-        z = nk.sub(nk.add(nk.square(nx, tape), nk.square(ny, tape), tape),
-                   nk.affine_const(nk.mul(rho, nk.mul(nx, ny, tape), tape),
-                                   2.0, 0.0, tape), tape)
-        omr = nk.affine_const(nk.square(rho, tape), -1.0, 1.0, tape)  # 1 - rho^2
-        step_nll = nk.add(
-            nk.add(nk.add(lsx, lsy, tape),
-                   nk.affine_const(nk.log(omr, tape), 0.5, LOG_2PI, tape), tape),
-            nk.div(z, nk.affine_const(omr, 2.0, 0.0, tape), tape), tape)
-        total = step_nll if total is None else nk.add(total, step_nll, tape)
-    return nk.mean_all(nk.affine_const(total, 1.0 / len(raws), 0.0, tape), tape)
+            f"nll_loss: {raws.rows} raw rows vs truth {truth.shape}")
+    target = truth.transpose(1, 0, 2).reshape(t_f * B, 2)
+    return nk.gaussian_nll(raws, target, RHO_MAX, tape)
 
 
 def trajectory_loss(history, future, onehots, weights: ParamSet,

@@ -5,27 +5,37 @@ batch of vectors is stored row-major, one example per row. Operations
 record backward closures on a Tape in creation order; replaying the tape
 in reverse is a valid topological order, so no graph search is needed.
 
-Gate layout for the LSTM cell is (input, forget, cell, output), stacked
-along the columns of the weight matrices. The checkpoint format is
-versioned and documented in `save_checkpoint`.
+The model's hot paths are fused ops with closed-form backward passes:
+`lstm_seq` runs a whole LSTM recurrence (BPTT by hand) and
+`gaussian_nll` the bivariate-Gaussian loss over all rows at once. The
+few generic primitives left serve the embedding, the linear heads and
+the gradient-check demo. Gate layout for the LSTM is (input, forget,
+cell, output), stacked along the columns of the weight matrices. The
+checkpoint format is versioned and documented in `save_checkpoint`.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 
 import numpy as np
 
-from .errors import DimensionError, NumericError
+from .errors import DimensionError, NumericError, SchemaError
 
 
 class Tensor:
-    """A 2-D float64 array plus its accumulated gradient."""
+    """A 2-D float64 array plus its accumulated gradient.
 
-    __slots__ = ("data", "grad")
+    Ops compute no gradient for a tensor made with `requires_grad=False`,
+    such as input frames and maneuver one-hots.
+    """
 
-    def __init__(self, data):
+    __slots__ = ("data", "grad", "requires_grad")
+
+    def __init__(self, data, requires_grad=True):
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim == 0:
             arr = arr.reshape(1, 1)
@@ -35,6 +45,7 @@ class Tensor:
             raise DimensionError(f"Tensor must be at most 2-D, got shape {arr.shape}")
         self.data = arr
         self.grad = None
+        self.requires_grad = requires_grad
 
     @property
     def rows(self):
@@ -58,9 +69,8 @@ class Tensor:
 
 
 def _accum(t: Tensor, g: np.ndarray):
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+    # no op updates a gradient in place, so the first one is stored as is
+    t.grad = g if t.grad is None else t.grad + g
 
 
 class Tape:
@@ -89,80 +99,14 @@ class Tape:
 # ---------------------------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor, tape=None) -> Tensor:
-    if a.cols != b.rows:
-        raise DimensionError(f"matmul: {a.shape} @ {b.shape}")
-    out = Tensor(a.data @ b.data)
-    if tape is not None:
-        def back():
-            _accum(a, out.grad @ b.data.T)
-            _accum(b, a.data.T @ out.grad)
-        tape.record(back)
-    return out
-
-
-def _binary_shapes(a: Tensor, b: Tensor, name: str):
-    # same shape, or b a single row broadcast over a's rows
-    if a.shape == b.shape:
-        return False
-    if b.rows == 1 and b.cols == a.cols:
-        return True
-    raise DimensionError(f"{name}: incompatible shapes {a.shape} and {b.shape}")
-
-
 def add(a: Tensor, b: Tensor, tape=None) -> Tensor:
-    bcast = _binary_shapes(a, b, "add")
+    if a.shape != b.shape:
+        raise DimensionError(f"add: incompatible shapes {a.shape} and {b.shape}")
     out = Tensor(a.data + b.data)
     if tape is not None:
         def back():
             _accum(a, out.grad)
-            _accum(b, out.grad.sum(axis=0, keepdims=True) if bcast else out.grad)
-        tape.record(back)
-    return out
-
-
-def sub(a: Tensor, b: Tensor, tape=None) -> Tensor:
-    bcast = _binary_shapes(a, b, "sub")
-    out = Tensor(a.data - b.data)
-    if tape is not None:
-        def back():
-            _accum(a, out.grad)
-            g = -out.grad
-            _accum(b, g.sum(axis=0, keepdims=True) if bcast else g)
-        tape.record(back)
-    return out
-
-
-def mul(a: Tensor, b: Tensor, tape=None) -> Tensor:
-    bcast = _binary_shapes(a, b, "mul")
-    out = Tensor(a.data * b.data)
-    if tape is not None:
-        def back():
-            _accum(a, out.grad * b.data)
-            g = out.grad * a.data
-            _accum(b, g.sum(axis=0, keepdims=True) if bcast else g)
-        tape.record(back)
-    return out
-
-
-def div(a: Tensor, b: Tensor, tape=None) -> Tensor:
-    bcast = _binary_shapes(a, b, "div")
-    out = Tensor(a.data / b.data)
-    if tape is not None:
-        def back():
-            _accum(a, out.grad / b.data)
-            g = -out.grad * a.data / (b.data * b.data)
-            _accum(b, g.sum(axis=0, keepdims=True) if bcast else g)
-        tape.record(back)
-    return out
-
-
-def affine_const(a: Tensor, mult: float, shift: float, tape=None) -> Tensor:
-    """y = mult * a + shift with scalar constants."""
-    out = Tensor(mult * a.data + shift)
-    if tape is not None:
-        def back():
-            _accum(a, mult * out.grad)
+            _accum(b, out.grad)
         tape.record(back)
     return out
 
@@ -172,42 +116,6 @@ def square(a: Tensor, tape=None) -> Tensor:
     if tape is not None:
         def back():
             _accum(a, 2.0 * a.data * out.grad)
-        tape.record(back)
-    return out
-
-
-def exp(a: Tensor, tape=None) -> Tensor:
-    out = Tensor(np.exp(a.data))
-    if tape is not None:
-        def back():
-            _accum(a, out.data * out.grad)
-        tape.record(back)
-    return out
-
-
-def log(a: Tensor, tape=None) -> Tensor:
-    out = Tensor(np.log(a.data))
-    if tape is not None:
-        def back():
-            _accum(a, out.grad / a.data)
-        tape.record(back)
-    return out
-
-
-def tanh(a: Tensor, tape=None) -> Tensor:
-    out = Tensor(np.tanh(a.data))
-    if tape is not None:
-        def back():
-            _accum(a, (1.0 - out.data * out.data) * out.grad)
-        tape.record(back)
-    return out
-
-
-def sigmoid(a: Tensor, tape=None) -> Tensor:
-    out = Tensor(1.0 / (1.0 + np.exp(-a.data)))
-    if tape is not None:
-        def back():
-            _accum(a, out.data * (1.0 - out.data) * out.grad)
         tape.record(back)
     return out
 
@@ -222,13 +130,13 @@ def leaky_relu(a: Tensor, alpha: float = 0.1, tape=None) -> Tensor:
     return out
 
 
-def slice_cols(a: Tensor, start: int, stop: int, tape=None) -> Tensor:
-    out = Tensor(a.data[:, start:stop].copy())
+def slice_rows(a: Tensor, start: int, stop: int, tape=None) -> Tensor:
+    out = Tensor(a.data[start:stop].copy())
     if tape is not None:
         def back():
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            a.grad[:, start:stop] += out.grad
+            g = np.zeros_like(a.data)
+            g[start:stop] = out.grad
+            _accum(a, g)
         tape.record(back)
     return out
 
@@ -243,16 +151,8 @@ def concat_cols(parts, tape=None) -> Tensor:
         offsets = np.cumsum([0] + [p.cols for p in parts])
         def back():
             for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-                _accum(p, out.grad[:, lo:hi])
-        tape.record(back)
-    return out
-
-
-def sum_all(a: Tensor, tape=None) -> Tensor:
-    out = Tensor(a.data.sum())
-    if tape is not None:
-        def back():
-            _accum(a, np.full_like(a.data, out.grad[0, 0]))
+                if p.requires_grad:
+                    _accum(p, out.grad[:, lo:hi])
         tape.record(back)
     return out
 
@@ -268,43 +168,186 @@ def mean_all(a: Tensor, tape=None) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Composite ops used by the model
+# Fused and composite ops used by the model
 # ---------------------------------------------------------------------------
 
 
 def linear_fwd(W: Tensor, b: Tensor, x: Tensor, tape=None) -> Tensor:
-    """y = x W + b for a batch of row vectors x (b is a single row)."""
+    """y = x W + b for a batch of row vectors x (b is a single row).
+
+    One op: the bias is added in place, because a second (rows, cols)
+    array for the sum costs more in page faults than the matmul when x
+    holds all T*B frame rows.
+    """
     if x.cols != W.rows or b.cols != W.cols or b.rows != 1:
         raise DimensionError(
             f"linear_fwd: x {x.shape}, W {W.shape}, b {b.shape}")
-    return add(matmul(x, W, tape), b, tape)
+    out = Tensor(x.data @ W.data)
+    out.data += b.data
+    if tape is not None:
+        def back():
+            if x.requires_grad:
+                _accum(x, out.grad @ W.data.T)
+            _accum(W, x.data.T @ out.grad)
+            _accum(b, out.grad.sum(axis=0, keepdims=True))
+        tape.record(back)
+    return out
 
 
 _GATE_NAMES = ("input", "forget", "cell", "output")
+
+
+def _sigmoid(z, out):
+    """out = 1 / (1 + exp(-z)), computed in `out` without temporaries."""
+    np.negative(z, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    np.reciprocal(out, out=out)
+
+
+def lstm_seq(xw: Tensor, h0: Tensor, c0: Tensor, Wh: Tensor, steps: int,
+             tape=None):
+    """A whole LSTM recurrence as one tape op; returns (hs, c).
+
+    `xw` is the precomputed input projection x Wx + b: either `steps * B`
+    rows, step-major (row t*B + k is step t of batch row k), or B rows
+    used at every step. Gate pre-activations are stacked column-wise as
+    (i, f, g, o). `hs` stacks the hidden states of all steps in the same
+    step-major row order, (steps * B, H); `c` is the final cell state
+    (B, H). The backward pass is written out by hand (BPTT) from the
+    gates and cell states saved in the forward pass; without a tape only
+    the current step's gates and cell states are kept. Per-step work
+    writes into preallocated buffers: fresh (B, 4H) temporaries each step
+    cost more in page faults than the arithmetic.
+    """
+    B, H = h0.shape
+    if c0.shape != (B, H) or Wh.shape != (H, 4 * H) or xw.cols != 4 * H \
+            or xw.rows not in (B, steps * B) or steps < 1:
+        raise DimensionError(
+            f"lstm_seq: xw {xw.shape}, h0 {h0.shape}, c0 {c0.shape}, "
+            f"Wh {Wh.shape}, {steps} steps")
+    const = xw.rows == B
+    # slots kept per quantity; step t uses slot t % n
+    n_act, n_c = (steps, steps + 1) if tape is not None else (1, 2)
+    acts = np.empty((n_act, B, 4 * H))   # gate activations i, f, g, o
+    tcs = np.empty((n_act, B, H))        # tanh(c_t)
+    cs = np.empty((n_c, B, H))           # c0, then c_t
+    hs = np.empty((steps + 1, B, H))     # h0, then h_t
+    z = np.empty((B, 4 * H))
+    hs[0], cs[0] = h0.data, c0.data
+    for t in range(steps):
+        np.matmul(hs[t], Wh.data, out=z)
+        z += xw.data if const else xw.data[t * B:(t + 1) * B]
+        if not np.isfinite(z).all():
+            bad = [_GATE_NAMES[k] for k in range(4)
+                   if not np.isfinite(z[:, k * H:(k + 1) * H]).all()]
+            raise NumericError(
+                f"non-finite pre-activation in gate(s): {', '.join(bad)}")
+        a, tc, c = acts[t % n_act], tcs[t % n_act], cs[(t + 1) % n_c]
+        _sigmoid(z, a)            # one pass over all gates beats three slices
+        np.tanh(z[:, 2 * H:3 * H], out=a[:, 2 * H:3 * H])
+        np.multiply(a[:, H:2 * H], cs[t % n_c], out=c)
+        c += a[:, :H] * a[:, 2 * H:3 * H]
+        np.tanh(c, out=tc)
+        np.multiply(a[:, 3 * H:], tc, out=hs[t + 1])
+    out_h = Tensor(hs[1:].reshape(steps * B, H))
+    out_c = Tensor(cs[steps % n_c])
+    if tape is not None:
+        def back():
+            dH = None if out_h.grad is None else out_h.grad.reshape(steps, B, H)
+            dc = np.zeros((B, H)) if out_c.grad is None else out_c.grad.copy()
+            dh = np.zeros((B, H))
+            tmp = np.empty((B, H))
+            upstream = np.empty((B, 4 * H))   # d loss / d gate activation
+            dZ = np.empty((steps, B, 4 * H))
+            WhT = Wh.data.T
+            for t in range(steps - 1, -1, -1):
+                a, dz, tc = acts[t], dZ[t], tcs[t]
+                if dH is not None:
+                    dh += dH[t]
+                np.multiply(tc, tc, out=tmp)      # dc += dh o (1 - tanh(c)^2)
+                np.subtract(1.0, tmp, out=tmp)
+                tmp *= a[:, 3 * H:]
+                tmp *= dh
+                dc += tmp
+                np.multiply(dc, a[:, 2 * H:3 * H], out=upstream[:, :H])
+                np.multiply(dc, cs[t], out=upstream[:, H:2 * H])
+                np.multiply(dc, a[:, :H], out=upstream[:, 2 * H:3 * H])
+                np.multiply(dh, tc, out=upstream[:, 3 * H:])
+                np.subtract(1.0, a, out=dz)       # sigmoid' = a (1 - a)
+                dz *= a
+                np.multiply(a[:, 2 * H:3 * H], a[:, 2 * H:3 * H],
+                            out=dz[:, 2 * H:3 * H])
+                np.subtract(1.0, dz[:, 2 * H:3 * H], out=dz[:, 2 * H:3 * H])
+                dz *= upstream                    # tanh' = 1 - g^2 above
+                dc *= a[:, H:2 * H]
+                if t > 0 or h0.requires_grad:
+                    np.matmul(dz, WhT, out=dh)
+            flat = dZ.reshape(steps * B, 4 * H)
+            _accum(Wh, hs[:steps].reshape(steps * B, H).T @ flat)
+            if xw.requires_grad:
+                _accum(xw, dZ.sum(axis=0) if const else flat)
+            if h0.requires_grad:
+                _accum(h0, dh)
+            if c0.requires_grad:
+                _accum(c0, dc)
+        tape.record(back)
+    return out_h, out_c
 
 
 def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor, Wx: Tensor,
               Wh: Tensor, b: Tensor, tape=None):
     """One LSTM step for a batch of rows; returns (h, c).
 
-    Gate pre-activations are stacked column-wise as (i, f, g, o).
+    This is `lstm_seq` with one step. Gate pre-activations are stacked
+    column-wise as (i, f, g, o).
     """
     H = h_prev.cols
     if Wx.cols != 4 * H or Wh.shape != (H, 4 * H) or b.cols != 4 * H:
         raise DimensionError(
             f"lstm_cell: hidden {H}, Wx {Wx.shape}, Wh {Wh.shape}, b {b.shape}")
-    z = add(add(matmul(x, Wx, tape), matmul(h_prev, Wh, tape), tape), b, tape)
-    if not np.isfinite(z.data).all():
-        bad = [_GATE_NAMES[k] for k in range(4)
-               if not np.isfinite(z.data[:, k * H:(k + 1) * H]).all()]
-        raise NumericError(f"non-finite pre-activation in gate(s): {', '.join(bad)}")
-    i = sigmoid(slice_cols(z, 0, H, tape), tape)
-    f = sigmoid(slice_cols(z, H, 2 * H, tape), tape)
-    g = tanh(slice_cols(z, 2 * H, 3 * H, tape), tape)
-    o = sigmoid(slice_cols(z, 3 * H, 4 * H, tape), tape)
-    c = add(mul(f, c_prev, tape), mul(i, g, tape), tape)
-    h = mul(o, tanh(c, tape), tape)
-    return h, c
+    return lstm_seq(linear_fwd(Wx, b, x, tape), h_prev, c_prev, Wh, 1, tape)
+
+
+_LOG_2PI = math.log(2.0 * math.pi)
+
+
+def gaussian_nll(raw: Tensor, target, rho_max: float, tape=None) -> Tensor:
+    """Mean bivariate-Gaussian negative log likelihood as one tape op.
+
+    Row n of `raw` (N, 5) parameterises the Gaussian of target row n
+    (N, 2): means (raw 0, 1), sigma = exp(raw 2, 3) and rho = rho_max *
+    tanh(raw 4). The mean runs over all N rows; the backward pass is
+    closed-form.
+    """
+    target = np.asarray(target, dtype=np.float64)
+    if raw.cols != 5 or target.shape != (raw.rows, 2):
+        raise DimensionError(
+            f"gaussian_nll: raw {raw.shape} vs target {target.shape}")
+    r = raw.data
+    th = np.tanh(r[:, 4])
+    rho = rho_max * th
+    sx, sy = np.exp(r[:, 2]), np.exp(r[:, 3])
+    nx = (r[:, 0] - target[:, 0]) / sx
+    ny = (r[:, 1] - target[:, 1]) / sy
+    omr = 1.0 - rho * rho
+    z = nx * nx + ny * ny - 2.0 * rho * nx * ny
+    nll = r[:, 2] + r[:, 3] + (0.5 * np.log(omr) + _LOG_2PI) + z / (2.0 * omr)
+    out = Tensor(nll.mean())
+    if tape is not None:
+        def back():
+            gx = (nx - rho * ny) / omr       # d nll / d nx
+            gy = (ny - rho * nx) / omr
+            grho = (z * rho / omr - rho - nx * ny) / omr
+            g = np.empty_like(r)
+            g[:, 0] = gx / sx
+            g[:, 1] = gy / sy
+            g[:, 2] = 1.0 - gx * nx
+            g[:, 3] = 1.0 - gy * ny
+            g[:, 4] = grho * rho_max * (1.0 - th * th)
+            _accum(raw, g * (out.grad[0, 0] / raw.rows))
+        tape.record(back)
+    return out
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -344,7 +387,11 @@ def softmax_xent(logits: Tensor, targets, tape=None) -> Tensor:
 
 
 class ParamSet:
-    """Named trainable tensors with paired Adam moment buffers."""
+    """Named trainable tensors with paired Adam moment buffers.
+
+    `adam_step` creates the moment buffers on a parameter's first update,
+    so loaded and inference-only sets carry no optimizer state.
+    """
 
     def __init__(self):
         self.params = {}   # name -> Tensor
@@ -357,8 +404,6 @@ class ParamSet:
             raise ValueError(f"duplicate parameter {name!r}")
         t = Tensor(np.array(data, dtype=np.float64))
         self.params[name] = t
-        self.m[name] = np.zeros_like(t.data)
-        self.v[name] = np.zeros_like(t.data)
         return t
 
     def __getitem__(self, name) -> Tensor:
@@ -381,8 +426,9 @@ class ParamSet:
         out = ParamSet()
         for name, t in self.params.items():
             out.add(name, t.data.copy())
-            out.m[name] = self.m[name].copy()
-            out.v[name] = self.v[name].copy()
+            if name in self.m:
+                out.m[name] = self.m[name].copy()
+                out.v[name] = self.v[name].copy()
         out.step_count = self.step_count
         return out
 
@@ -406,6 +452,9 @@ def adam_step(params: ParamSet, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
     bc1 = 1.0 - beta1 ** k
     bc2 = 1.0 - beta2 ** k
     for name, g in grads.items():
+        if name not in params.m:
+            params.m[name] = np.zeros_like(params.params[name].data)
+            params.v[name] = np.zeros_like(params.params[name].data)
         m = params.m[name]
         v = params.v[name]
         m *= beta1
@@ -480,19 +529,40 @@ def save_checkpoint(path, params: ParamSet, hyper: dict):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (ParamSet, hyper dict)."""
+    """Read a checkpoint; returns (ParamSet, hyper dict).
+
+    A file that is not a checkpoint, is cut short or has an undecodable
+    header raises SchemaError naming the path.
+    """
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+
+        def read(n):
+            if n > size - f.tell():
+                raise SchemaError(
+                    f"{path}: truncated checkpoint ({size} bytes, needs "
+                    f"{n} more at offset {f.tell()})")
+            return f.read(n)
+
         if f.read(8) != _CKPT_MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file")
-        (hlen,) = struct.unpack("<I", f.read(4))
-        hyper = json.loads(f.read(hlen).decode())
-        (count,) = struct.unpack("<I", f.read(4))
+            raise SchemaError(f"{path}: not a checkpoint file")
+        (hlen,) = struct.unpack("<I", read(4))
+        try:
+            hyper = json.loads(read(hlen).decode())
+        except ValueError as e:     # bad UTF-8 or bad JSON
+            raise SchemaError(f"{path}: corrupt checkpoint header: {e}") from e
+        if not isinstance(hyper, dict):
+            raise SchemaError(f"{path}: checkpoint header is not a JSON object")
+        (count,) = struct.unpack("<I", read(4))
         params = ParamSet()
         for _ in range(count):
-            (nlen,) = struct.unpack("<H", f.read(2))
-            name = f.read(nlen).decode()
-            rows, cols = struct.unpack("<II", f.read(8))
-            data = np.frombuffer(f.read(rows * cols * 8), dtype="<f8")
+            (nlen,) = struct.unpack("<H", read(2))
+            try:
+                name = read(nlen).decode()
+            except UnicodeDecodeError as e:
+                raise SchemaError(f"{path}: corrupt parameter name: {e}") from e
+            rows, cols = struct.unpack("<II", read(8))
+            data = np.frombuffer(read(rows * cols * 8), dtype="<f8")
             params.add(name, data.reshape(rows, cols))
     return params, hyper
 

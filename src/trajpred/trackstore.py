@@ -12,6 +12,7 @@ ahead, right behind); left = lane_id - 1.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -369,8 +370,21 @@ def write_samples_jsonl(path, samples):
 
 
 def read_samples_jsonl(path):
+    """Read a file written by `write_samples_jsonl`.
+
+    A line that is not a complete sample record raises SchemaError naming
+    the path and line.
+    """
+    samples = []
     with open(path) as f:
-        return [sample_from_dict(json.loads(line)) for line in f if line.strip()]
+        for lineno, line in enumerate(f, 1):
+            if not line.strip():
+                continue
+            try:
+                samples.append(sample_from_dict(json.loads(line)))
+            except (KeyError, TypeError, ValueError) as e:
+                raise SchemaError(f"{path}:{lineno}: bad sample record: {e!r}") from e
+    return samples
 
 
 _SAMPLE_MAGIC = b"TPSAMP01"
@@ -402,19 +416,38 @@ def write_samples_binary(path, samples):
 
 
 def read_samples_binary(path):
+    """Read a file written by `write_samples_binary`.
+
+    The file length is checked against the header's record count before
+    any record is read: a foreign, cut or padded file raises SchemaError
+    naming the path.
+    """
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
         if f.read(8) != _SAMPLE_MAGIC:
             raise SchemaError(f"{path}: not a sample file")
-        count, hlen, flen = struct.unpack("<IHH", f.read(8))
+        header = f.read(8)
+        if len(header) != 8:
+            raise SchemaError(f"{path}: truncated sample file header")
+        count, hlen, flen = struct.unpack("<IHH", header)
+        record = 35 + (hlen * N_CHANNELS + flen * 2) * 8
+        if size != 16 + count * record:
+            raise SchemaError(
+                f"{path}: {size} bytes, but {count} records of {record} "
+                f"bytes need {16 + count * record}")
         samples = []
-        for _ in range(count):
+        for i in range(count):
             vid, ox, oy, ofr, lat, lon, bits = struct.unpack("<qddqBBB", f.read(35))
             hist = np.frombuffer(f.read(hlen * N_CHANNELS * 8), dtype="<f8")
             fut = np.frombuffer(f.read(flen * 2 * 8), dtype="<f8")
+            try:
+                label = ManeuverLabel(Lateral(lat), Longitudinal(lon))
+            except ValueError as e:
+                raise SchemaError(f"{path}: record {i}: {e}") from e
             samples.append(Sample(
                 history=hist.reshape(hlen, N_CHANNELS).copy(),
                 future=fut.reshape(flen, 2).copy(),
-                label=ManeuverLabel(Lateral(lat), Longitudinal(lon)),
+                label=label,
                 neighbor_mask=np.array([(bits >> k) & 1 == 1
                                         for k in range(N_NEIGHBORS)]),
                 origin=(ox, oy, int(ofr)),

@@ -59,7 +59,7 @@ def raw_outputs(m: M.Model, hist) -> np.ndarray:
     for joint in range(M.N_JOINT):
         oh = M.maneuver_onehot(ManeuverLabel.from_joint_index(joint))
         raws = M.decode_raw(context, np.tile(oh, (len(hist), 1)), m.traj, m.cfg)
-        out.append(np.stack([r.data for r in raws], axis=1))
+        out.append(raws.data.reshape(m.cfg.t_f, len(hist), 5).transpose(1, 0, 2))
     return np.stack(out)
 
 

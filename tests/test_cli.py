@@ -1,11 +1,15 @@
 import hashlib
 import json
+import logging
 
 import numpy as np
 import pytest
 
 from trajpred import cli, trackstore
+from trajpred import model as M
+from trajpred import nnkernel as nk
 from trajpred.errors import UsageError
+from trajpred.model import ModelConfig, Variant
 
 
 def run(argv):
@@ -114,3 +118,119 @@ def test_train_predict_eval_roundtrip(tmp_path):
 
 def test_gradcheck_exit_zero():
     assert run(["gradcheck", "--seed", "0", "--max-coords", "40"]) == 0
+
+
+# ---------------------------------------------------------------------------
+# Bad input files: exit 2, the path on stderr, no traceback
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def good_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("good")
+    tracks, samples, ckpt = d / "tracks.csv", d / "samples.bin", d / "m.ckpt"
+    assert run(["synth", "--seed", "2", "--n-vehicles", "4",
+                "--duration-s", "20", "--out", str(tracks)]) == 0
+    assert run(["ingest", "--data", str(tracks), "--out", str(samples),
+                "--stride", "40"]) == 0
+    M.Model.init(ModelConfig(variant=Variant.M_LSTM, hidden=8, embed=6),
+                 seed=0).save(ckpt)
+    return samples, ckpt
+
+
+def damaged_copies(src, dst_dir):
+    """Truncated copies at a few offsets, plus one with bad magic."""
+    data = src.read_bytes()
+    out = []
+    for cut in (0, 5, 8, 12, 16, 40, len(data) // 2, len(data) - 1):
+        path = dst_dir / f"cut{cut}_{src.name}"
+        path.write_bytes(data[:cut])
+        out.append(path)
+    path = dst_dir / f"magic_{src.name}"
+    path.write_bytes(b"GARBAGE!" + data[8:])
+    out.append(path)
+    return out
+
+
+def assert_data_error(argv, path, capsys):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(path) in err
+    assert "Traceback" not in err
+
+
+def test_damaged_sample_file_exit_2(good_files, tmp_path, capsys):
+    samples, _ = good_files
+    for bad in damaged_copies(samples, tmp_path):
+        assert_data_error(["eval", "--samples", str(bad), "--baseline", "cv"],
+                          bad, capsys)
+
+
+def test_damaged_jsonl_sample_file_exit_2(good_files, tmp_path, capsys):
+    samples, _ = good_files
+    good = tmp_path / "good.jsonl"
+    trackstore.write_samples_jsonl(good, trackstore.read_samples_binary(samples))
+    data = good.read_text()
+    for cut in (data.index("\n") // 2, len(data) - 5):    # inside a record
+        bad = tmp_path / f"cut{cut}.jsonl"
+        bad.write_text(data[:cut])
+        assert_data_error(["eval", "--samples", str(bad), "--baseline", "cv"],
+                          bad, capsys)
+
+
+def test_padded_sample_file_exit_2(good_files, tmp_path, capsys):
+    samples, _ = good_files
+    bad = tmp_path / "padded.bin"
+    bad.write_bytes(samples.read_bytes() + b"\0")
+    assert_data_error(["eval", "--samples", str(bad), "--baseline", "cv"],
+                      bad, capsys)
+
+
+def test_bad_label_byte_exit_2(good_files, tmp_path, capsys):
+    samples, _ = good_files
+    data = bytearray(samples.read_bytes())
+    data[16 + 32] = 7                       # lateral label of record 0
+    bad = tmp_path / "bad_label.bin"
+    bad.write_bytes(bytes(data))
+    assert_data_error(["eval", "--samples", str(bad), "--baseline", "cv"],
+                      bad, capsys)
+
+
+def test_damaged_checkpoint_exit_2(good_files, tmp_path, capsys):
+    samples, ckpt = good_files
+    garbage = tmp_path / "garbage.ckpt"
+    garbage.write_bytes(np.random.default_rng(0).bytes(4096))
+    for bad in damaged_copies(ckpt, tmp_path) + [garbage]:
+        assert_data_error(["eval", "--samples", str(samples),
+                           "--checkpoint", str(bad)], bad, capsys)
+
+
+def test_kernel_checkpoint_without_model_header_exit_2(good_files, tmp_path,
+                                                      capsys):
+    samples, _ = good_files
+    bad = tmp_path / "kernel_only.ckpt"
+    nk.save_checkpoint(bad, nk.ParamSet(), {"hidden": 8})
+    assert_data_error(["eval", "--samples", str(samples),
+                       "--checkpoint", str(bad)], bad, capsys)
+
+
+def test_checkpoint_shape_mismatch_exit_2(good_files, tmp_path, capsys):
+    samples, _ = good_files
+    ckpt = tmp_path / "short_history.ckpt"
+    M.Model.init(ModelConfig(variant=Variant.S_LSTM, hidden=8, embed=6, t_h=4),
+                 seed=0).save(ckpt)
+    assert run(["eval", "--samples", str(samples), "--checkpoint", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,debug", [
+    (["-v", "eval"], True), (["eval", "-v"], True), (["eval"], False)])
+def test_verbose_flag_logs_debug(good_files, caplog, argv, debug):
+    samples, _ = good_files
+    caplog.set_level(logging.NOTSET)
+    assert run(argv + ["--samples", str(samples), "--baseline", "cv"]) == 0
+    level = logging.getLogger("trajpred").getEffectiveLevel()
+    assert level == (logging.DEBUG if debug else logging.INFO)
+    read_msgs = [r for r in caplog.records if r.getMessage().startswith("read ")]
+    assert bool(read_msgs) == debug

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -150,7 +151,7 @@ def test_degenerate_classifier_gives_single_mode():
 
 
 def nll_of_raw(raw_row, truth_xy):
-    raws = [Tensor(np.array([raw_row]))]
+    raws = Tensor(np.array([raw_row]))
     return M.nll_loss(raws, np.array([[truth_xy]])).item()
 
 
@@ -297,3 +298,15 @@ def test_checkpoint_roundtrip(tmp_path):
     d1 = M.predict_multimodal(hist, m)
     d2 = M.predict_multimodal(hist, back)
     np.testing.assert_array_equal(d1.probabilities(), d2.probabilities())
+
+
+def test_loaded_model_pickles_without_optimizer_state(tmp_path):
+    cfg = small_cfg()
+    samples = random_samples(cfg, 8, seed=6)
+    m, _ = M.train(samples, cfg, epochs=1, batch=8, seed=0)
+    path = tmp_path / "m.ckpt"
+    m.save(path)
+    back = M.Model.load(path)
+    n_bytes = 8 * (back.traj.n_coords() + back.cls.n_coords())
+    assert back.traj.m == {} and back.cls.m == {}
+    assert len(pickle.dumps(back)) < 1.5 * n_bytes
